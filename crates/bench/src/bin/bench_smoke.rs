@@ -182,18 +182,14 @@ fn main() {
                 };
                 let runtime_s = cell.mean_runtime.as_secs_f64();
                 let plans_per_sec = cell.mean_plans_built / runtime_s.max(1e-12);
-                // Hot-path readout: the three numbers the enumeration
-                // speed work tracks per cell — raw plan throughput, the
-                // Amdahl share of the merge+replay phase, and the LPT
-                // balance of the parallel bucketing/replay fan-out.
+                // Hot-path readout: the two numbers the enumeration
+                // speed work tracks per cell — raw plan throughput and
+                // the Amdahl share of the serial merge+replay phase.
                 let extra = format!(
                     ", \"hotpath\": {{ \"plans_per_sec\": {:.0}, \
-                     \"replay_share\": {:.4}, \"lpt_imbalance_x100\": {:.0}, \
-                     \"par_bucket_strata\": {:.2} }}",
+                     \"replay_share\": {:.4} }}",
                     plans_per_sec,
                     cell.serial_fraction(),
-                    cell.mean_lpt_imbalance_x100,
-                    cell.mean_par_bucket_strata,
                 );
                 cells.push(SmokeCell {
                     algo: spec.algo.name(),

@@ -48,16 +48,9 @@ pub struct Cell {
     /// Mean nanoseconds in the plan-building phase (workers + inline
     /// strata; the whole enumeration on the streaming path).
     pub mean_worker_nanos: f64,
-    /// Mean nanoseconds in the merge + per-class replay phase (0 on the
+    /// Mean nanoseconds in the serial merge + replay phase (0 on the
     /// streaming path).
     pub mean_replay_nanos: f64,
-    /// Mean LPT partition imbalance of the class-partitioned replay:
-    /// heaviest worker load as a percentage of a perfect split (100 =
-    /// perfectly balanced, worst stratum per run; 0 when nothing
-    /// replayed in parallel).
-    pub mean_lpt_imbalance_x100: f64,
-    /// Mean number of strata whose candidate bucketing ran fanned-out.
-    pub mean_par_bucket_strata: f64,
 }
 
 /// Share of instrumented engine time in the merge + replay phase — the
@@ -111,8 +104,6 @@ pub fn run_sweep(
         let mut hits: Vec<f64> = vec![0.0; algos.len()];
         let mut worker_ns: Vec<f64> = vec![0.0; algos.len()];
         let mut replay_ns: Vec<f64> = vec![0.0; algos.len()];
-        let mut lpt: Vec<f64> = vec![0.0; algos.len()];
-        let mut par_strata: Vec<f64> = vec![0.0; algos.len()];
         for q in 0..queries {
             let seed = base_seed
                 .wrapping_add(n as u64 * 1_000_003)
@@ -135,8 +126,6 @@ pub fn run_sweep(
                 hits[ai] += r.memo.prune_hit_rate();
                 worker_ns[ai] += r.memo.worker_nanos as f64;
                 replay_ns[ai] += r.memo.replay_nanos as f64;
-                lpt[ai] += r.memo.lpt_imbalance_x100 as f64;
-                par_strata[ai] += r.memo.par_bucket_strata as f64;
             }
         }
         for (ai, spec) in algos.iter().enumerate() {
@@ -166,8 +155,6 @@ pub fn run_sweep(
                 mean_prune_hit_rate: hits[ai] / m as f64,
                 mean_worker_nanos: worker_ns[ai] / m as f64,
                 mean_replay_nanos: replay_ns[ai] / m as f64,
-                mean_lpt_imbalance_x100: lpt[ai] / m as f64,
-                mean_par_bucket_strata: par_strata[ai] / m as f64,
             });
         }
     }

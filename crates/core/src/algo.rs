@@ -13,22 +13,18 @@
 //! * **layered** (`threads > 1`): stratify the stream by `|S1 ∪ S2|`
 //!   ([`dpnext_hypergraph::stratify_ccps`]), fan each stratum's pairs out
 //!   over `std::thread::scope` workers building into thread-local
-//!   [`MemoShard`]s, merge the shards while **bucketing** the recorded
-//!   candidates by target class, then fan the per-class streams back out
-//!   over the worker pool: plan classes are independent per `NodeSet`
-//!   (dominance/keep-best only ever compares within a class), so the
-//!   folds commute across classes, and within each class candidates
-//!   apply in the original sequential unit order. Because a stratum only
-//!   reads plan classes frozen by earlier strata, this makes costs, class
-//!   contents, dominance outcomes and `plans_built` bit-identical to the
-//!   streaming driver for any thread count (the parity suite pins this).
+//!   [`MemoShard`]s, merge the shards, then replay the recorded
+//!   candidates serially in the original work-unit order through the
+//!   same `ClassPolicy::insert`/`complete` calls the streaming driver
+//!   makes. A stratum only reads plan classes frozen by earlier strata
+//!   and only writes its own, so costs, class contents, dominance
+//!   outcomes and `plans_built` are bit-identical to the streaming driver
+//!   for any thread count (the parity suite pins this).
 
 use crate::context::{OptContext, Scratch};
 use crate::finalize::{final_numbers, finalize, FinalPlan};
-use crate::fxhash::{FxHashMap, FxHasher};
 use crate::memo::{
-    prune_fold_slice, prune_insert_ids, ClassBuckets, ClassTally, DominanceKind, Memo, MemoShard,
-    MemoStats, PlanCold, PlanHot, PlanId, PlanStore, ShardRemap,
+    DominanceKind, Memo, MemoShard, MemoStats, PlanCold, PlanHot, PlanId, PlanStore,
 };
 use crate::optrees::op_trees;
 use crate::plan::{apply_staged, make_scan, stage_apply};
@@ -319,11 +315,7 @@ fn orientations_into(ctx: &OptContext, s1: NodeSet, s2: NodeSet, bufs: &mut Pair
 /// What a plan class keeps, and what happens to complete plans — the only
 /// part in which the five generators differ. The engine drives the
 /// enumeration; the policy decides retention.
-///
-/// `Sync` because the class-partitioned replay shares `&self` across the
-/// per-class fold workers ([`ClassPolicy::fold_insert`] is read-only on
-/// the policy).
-trait ClassPolicy: Sync {
+trait ClassPolicy {
     /// Generate all eager-aggregation variants (`OpTrees`, Fig. 6) or only
     /// the plain operator tree (the DPhyp baseline)?
     fn eager(&self) -> bool;
@@ -331,66 +323,17 @@ trait ClassPolicy: Sync {
     fn insert(&mut self, ctx: &OptContext, memo: &mut Memo, s: NodeSet, id: PlanId);
     /// A plan covering the full relation set with every operator applied.
     /// Returns whether the policy kept a reference to `id`; when no plan
-    /// of a full-set pair is kept, the engine rolls the arena back.
+    /// of a full-set pair is kept, the streaming driver rolls the arena
+    /// back (the layered replay ignores the result: losing plans were
+    /// already reclaimed worker-locally).
     fn complete(&mut self, ctx: &OptContext, memo: &mut Memo, id: PlanId) -> bool;
-    /// Per-class equivalent of [`ClassPolicy::insert`]: fold one recorded
-    /// candidate into the detached class vector `class`, reading plan
-    /// data from the frozen, fully merged memo and tallying counters per
-    /// fold. Folds for different classes run concurrently — retention may
-    /// depend only on plan data and the class itself, never on mutable
-    /// policy state (hence `&self`). Within one class the replay applies
-    /// candidates in the original sequential unit order, so the folded
-    /// class is bit-identical to what streaming `insert`s build.
-    fn fold_insert(
-        &self,
-        ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    );
-    /// Fold a whole class's unit-sorted candidate slice in one call — the
-    /// batched form of [`ClassPolicy::fold_insert`] the replay actually
-    /// drives, so policies can amortize per-candidate setup across the
-    /// slice (dominance pruning mirrors the residents' hot rows into the
-    /// caller-owned `rows` scratch once per class instead of chasing
-    /// arena indices per candidate). Must be semantically identical to
-    /// folding the candidates one by one; the default does exactly that.
-    fn fold_class(
-        &self,
-        ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        rows: &mut Vec<PlanHot>,
-        candidates: &[PlanId],
-        tally: &mut ClassTally,
-    ) {
-        let _ = rows;
-        for &id in candidates {
-            self.fold_insert(ctx, memo, class, id, tally);
-        }
-    }
-    /// Replay-path equivalent of [`ClassPolicy::complete`]. The replay
-    /// never rolls the merged arena back (losing plans were already
-    /// reclaimed worker-locally), so shared memo access suffices.
-    fn fold_complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool;
     /// Does `complete` keep every complete plan unconditionally? Workers
     /// then record all complete plans instead of pre-filtering with the
-    /// worker-local keep-best (and never roll their shard back).
+    /// worker-local keep-best (and never roll their shard back). The
+    /// pre-filter is lossless only for policies whose `complete` keeps
+    /// exactly the strict-cost winners, or (with this flag) everything.
     fn keeps_all_completes(&self) -> bool {
         false
-    }
-    /// Whether the layered driver may run this policy: [`WorkerSink`]
-    /// pre-filters complete plans with a worker-local strict-`<`
-    /// finalized-cost keep-best, which is lossless only when `complete`
-    /// itself keeps exactly the strict-cost winners (the keep-best
-    /// policies) or keeps everything ([`ClassPolicy::keeps_all_completes`],
-    /// which disables the pre-filter). Policies that retain a non-trivial
-    /// subset of complete plans (top-k, tolerance acceptance) must return
-    /// `false`; the engine then stays on the streaming driver regardless
-    /// of the `threads` knob.
-    fn parallel_safe(&self) -> bool {
-        true
     }
 }
 
@@ -641,17 +584,12 @@ fn run_worker(
 /// processed inline — thread spawn plus merge costs more than the work.
 const PAR_MIN_COMBOS: usize = 256;
 
-/// Fan-out threshold of the class-partitioned replay: below this many
-/// recorded candidates the per-class folds run inline on the merging
-/// thread — spawning would cost more than the dominance checks.
-const PAR_MIN_REPLAY: usize = 256;
-
 /// The layered driver: strata in ascending union size; within a stratum,
-/// work units fan out round-robin over scoped worker threads, the shard
-/// merge buckets the recorded candidates by target class, and the
-/// per-class candidate streams fan back out over scoped workers — within
-/// a class candidates apply in original unit order, so every observable
-/// outcome matches the streaming driver bit for bit.
+/// work units fan out round-robin over scoped worker threads, the shards
+/// merge into the memo, and the recorded candidates replay serially in
+/// original unit order through the policy's streaming `insert`/`complete`
+/// — so every observable outcome matches the streaming driver bit for
+/// bit.
 /// Memory note: unlike the streaming driver, this materializes the whole
 /// csg-cmp-pair stream (16 bytes/pair). That is only significant where
 /// `#ccp` is astronomically large — and every pair also costs at least
@@ -674,10 +612,10 @@ fn enumerate_layered<P: ClassPolicy>(
     // recorded after the loop.
     let mut fanout_used = 1u64;
     // Phase instrumentation: plan-building (worker/inline) time vs
-    // merge+replay time, and the widest per-class replay fan-out.
+    // merge+replay time, and how many strata fanned out.
     let mut worker_nanos = 0u64;
     let mut replay_nanos = 0u64;
-    let mut peak_replay_classes = 0u64;
+    let mut fanned_strata = 0u64;
     // Global fresh-attribute cursor: inline strata allocate from it
     // directly; fanned-out strata interleave it across workers (ids ≡
     // worker mod t). Ids differ between thread counts but never collide,
@@ -729,6 +667,7 @@ fn enumerate_layered<P: ClassPolicy>(
             continue;
         }
         fanout_used = fanout_used.max(t as u64);
+        fanned_strata += 1;
         let t0 = Instant::now();
         let shared: &Memo = memo;
         let scratches: Vec<Scratch> = pool
@@ -779,55 +718,30 @@ fn enumerate_layered<P: ClassPolicy>(
         let max_used = outs.iter().map(|o| o.attrs_used).max().unwrap_or(0);
         next_attr = u32::try_from(u64::from(next_attr) + u64::from(max_used) * t as u64)
             .expect("fresh-attribute space (u32) exhausted");
-        // Merge: shards append in worker order (ids shift as a block —
-        // this arena splice is the only irreducibly serial step)...
+        // Merge: shards append in worker order (ids shift as a block).
         memo.record_shard_peak(outs.iter().map(|o| o.peak as u64).sum());
         let base = memo.arena_len();
-        let mut buckets = ClassBuckets::default();
-        let mut outs = outs;
-        let mut remaps: Vec<ShardRemap> = Vec::with_capacity(outs.len());
-        for (w, out) in outs.iter_mut().enumerate() {
-            scratch.plans_built += out.plans_built;
-            let hot = std::mem::take(&mut out.hot);
-            let cold = std::mem::take(&mut out.cold);
-            remaps.push(memo.append_shard(hot, cold, base));
-            pool[w] = Some(std::mem::replace(
-                &mut out.scratch,
-                Scratch::with_attr_base(0),
-            ));
-        }
-        // ...then the recorded candidate streams are remapped and grouped
-        // by target class. On wide strata the bucketing itself fans out
-        // over the worker pool, hash-partitioned by class (each class is
-        // owned by exactly one bucket worker, which scans the shards in
-        // worker order — the shard-major per-class order the replay's
-        // unit sort depends on is preserved exactly).
-        let candidates: usize = outs.iter().map(|o| o.inserts.len()).sum();
-        if t >= 2 && candidates >= PAR_MIN_REPLAY {
-            memo.record_par_bucket_stratum();
-            bucket_parallel(&outs, &remaps, t, &mut buckets);
-        } else {
-            for (out, &remap) in outs.iter().zip(&remaps) {
-                for &(unit, s, id) in &out.inserts {
-                    buckets
-                        .classes
-                        .entry(s)
-                        .or_default()
-                        .push((unit, remap.apply(id)));
-                }
-            }
-        }
-        for (out, &remap) in outs.iter().zip(&remaps) {
-            for &(unit, id) in &out.completes {
-                buckets.completes.push((unit, remap.apply(id)));
-            }
-        }
         let units = outs.first().map(|o| o.units).unwrap_or(0);
         debug_assert!(outs.iter().all(|o| o.units == units));
-        // ...and the per-class streams fold concurrently (sequential unit
-        // order *within* each class), reproducing the streaming outcome.
-        let par_classes = replay_buckets(ctx, memo, policy, buckets, t);
-        peak_replay_classes = peak_replay_classes.max(par_classes);
+        let candidates: usize = outs.iter().map(|o| o.inserts.len()).sum();
+        let mut remaps = Vec::with_capacity(t);
+        let mut inserts = Vec::with_capacity(t);
+        let mut completes = Vec::with_capacity(t);
+        for (w, out) in outs.into_iter().enumerate() {
+            scratch.plans_built += out.plans_built;
+            remaps.push(memo.append_shard(out.hot, out.cold, base));
+            inserts.push(out.inserts);
+            completes.push(out.completes);
+            pool[w] = Some(out.scratch);
+        }
+        // Replay in streaming order through the policy. Complete plans
+        // only come from the final stratum, which feeds no class.
+        for (w, &(_, s, id)) in unit_order(&inserts, |c| c.0) {
+            policy.insert(ctx, memo, s, remaps[w].apply(id));
+        }
+        for (w, &(_, id)) in unit_order(&completes, |c| c.0) {
+            policy.complete(ctx, memo, remaps[w].apply(id));
+        }
         let dt = t1.elapsed().as_nanos() as u64;
         replay_nanos += dt;
         dpnext_obs::emit_span(
@@ -836,175 +750,32 @@ fn enumerate_layered<P: ClassPolicy>(
             &[
                 ("stratum", stratum_idx as u64),
                 ("candidates", candidates as u64),
-                ("par_classes", par_classes),
             ],
         );
     }
-    memo.record_layering(strata.layer_count(), strata.peak_layer_pairs(), fanout_used);
-    memo.record_phases(worker_nanos, replay_nanos, peak_replay_classes);
+    memo.record_layering(
+        strata.layer_count(),
+        strata.peak_layer_pairs(),
+        fanout_used,
+        fanned_strata,
+    );
+    memo.record_phases(worker_nanos, replay_nanos);
 }
 
-/// The bucket worker owning class `s` under a `fanout`-way hash
-/// partition. Deterministic (seeded FxHash of the node set), so every
-/// thread count produces the same ownership — only *who* buckets a class
-/// changes, never the bucket contents.
-fn class_bucket(s: NodeSet, fanout: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    s.hash(&mut h);
-    (h.finish() as usize) % fanout
-}
-
-/// Fan the merge-candidate bucketing over scoped workers: worker `b` owns
-/// every class hashing to bucket `b` and scans all shards' insert streams
-/// in worker order, so each per-class candidate list comes out in the
-/// same shard-major order the serial bucketing produces. Classes are
-/// disjoint across workers, hence the partial maps merge by plain moves.
-fn bucket_parallel(
-    outs: &[WorkerOut],
-    remaps: &[ShardRemap],
-    fanout: usize,
-    buckets: &mut ClassBuckets,
-) {
-    let partials: Vec<FxHashMap<NodeSet, Vec<(u64, PlanId)>>> = std::thread::scope(|sc| {
-        let handles: Vec<_> = (0..fanout)
-            .map(|b| {
-                sc.spawn(move || {
-                    let mut map: FxHashMap<NodeSet, Vec<(u64, PlanId)>> = FxHashMap::default();
-                    for (out, &remap) in outs.iter().zip(remaps) {
-                        for &(unit, s, id) in &out.inserts {
-                            if class_bucket(s, fanout) == b {
-                                map.entry(s).or_default().push((unit, remap.apply(id)));
-                            }
-                        }
-                    }
-                    map
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bucketing worker panicked"))
-            .collect()
-    });
-    for map in partials {
-        for (s, cands) in map {
-            debug_assert!(!buckets.classes.contains_key(&s));
-            buckets.classes.insert(s, cands);
-        }
-    }
-}
-
-/// Replay one stratum's bucketed candidate streams against the policy.
-///
-/// Plan classes are independent per `NodeSet` — the Fig. 13 dominance
-/// test and the keep-best comparisons only ever look at plans *within*
-/// one class — so the per-class folds commute across classes and can run
-/// concurrently on the scoped worker pool. Each bucket is first restored
-/// to the original sequential unit order (stable sort by unit: a unit's
-/// candidates come from the single worker that owned it and stay
-/// contiguous), so costs, class contents, dominance outcomes and counter
-/// totals are bit-identical to the streaming driver for any fan-out.
-/// Counters accrue in per-fold [`ClassTally`]s reduced at install time.
-///
-/// Complete (full-set) plans are only ever produced by the final stratum,
-/// which feeds no classes; their keep-best over finalized costs resolves
-/// ties to the earliest unit, so that stream replays serially in unit
-/// order. Returns the number of classes folded concurrently (0 when the
-/// replay ran inline below [`PAR_MIN_REPLAY`]).
-/// One detached class bucket: target set plus unit-tagged candidates.
-type ClassBucket = (NodeSet, Vec<(u64, PlanId)>);
-
-fn replay_buckets<P: ClassPolicy>(
-    ctx: &OptContext,
-    memo: &mut Memo,
-    policy: &mut P,
-    mut buckets: ClassBuckets,
-    threads: usize,
-) -> u64 {
-    // A stratum produces either class candidates (union < full set) or
-    // complete plans (final stratum), never both.
-    debug_assert!(buckets.classes.is_empty() || buckets.completes.is_empty());
-    let n_classes = buckets.classes.len();
-    let fanout = threads.min(n_classes);
-    let candidates: usize = buckets.candidate_count();
-    let mut entries: Vec<ClassBucket> = buckets.classes.drain().collect();
-    let mut par_classes = 0u64;
-    if fanout >= 2 && candidates >= PAR_MIN_REPLAY {
-        par_classes = n_classes as u64;
-        // Deterministic LPT assignment: heaviest buckets first, each onto
-        // the least-loaded worker (ties to the lowest worker index).
-        entries.sort_unstable_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-        let mut chunks: Vec<Vec<ClassBucket>> = (0..fanout).map(|_| Vec::new()).collect();
-        let mut load = vec![0usize; fanout];
-        for entry in entries {
-            let w = (0..fanout).min_by_key(|&w| load[w]).unwrap();
-            load[w] += entry.1.len();
-            chunks[w].push(entry);
-        }
-        // LPT skew: how far the heaviest worker exceeds its fair share
-        // (100 = perfectly balanced). Candidates > 0 here (>= the fan-out
-        // threshold).
-        let max_load = load.iter().copied().max().unwrap_or(0) as u64;
-        memo.record_replay_imbalance(max_load * fanout as u64 * 100 / candidates as u64);
-        let shared: &Memo = memo;
-        let pol: &P = policy;
-        let folded: Vec<Vec<(NodeSet, Vec<PlanId>, ClassTally)>> = std::thread::scope(|sc| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| sc.spawn(move || fold_classes(ctx, shared, pol, chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("replay worker panicked"))
-                .collect()
-        });
-        // Install in set order: counters are commutative sums/maxima, the
-        // sort just keeps the operation sequence deterministic.
-        let mut flat: Vec<_> = folded.into_iter().flatten().collect();
-        flat.sort_unstable_by_key(|&(s, _, _)| s);
-        for (s, ids, tally) in flat {
-            memo.install_class(s, ids, &tally);
-        }
-    } else {
-        entries.sort_unstable_by_key(|&(s, _)| s);
-        for (s, ids, tally) in fold_classes(ctx, memo, policy, entries) {
-            memo.install_class(s, ids, &tally);
-        }
-    }
-    // Stable by unit: same-unit completes are contiguous already.
-    buckets.completes.sort_by_key(|&(u, _)| u);
-    for &(_, id) in &buckets.completes {
-        policy.fold_complete(ctx, memo, id);
-    }
-    par_classes
-}
-
-/// Fold each class's candidate stream (restored to unit order) into its
-/// final id list without touching the shared memo — the unit of work of
-/// the class-partitioned replay.
-fn fold_classes<P: ClassPolicy>(
-    ctx: &OptContext,
-    memo: &Memo,
-    policy: &P,
-    chunk: Vec<ClassBucket>,
-) -> Vec<(NodeSet, Vec<PlanId>, ClassTally)> {
-    // Worker-local scratch reused across the chunk's classes: the hot-row
-    // mirror of the batched dominance fold and the untagged candidate ids.
-    let mut rows: Vec<PlanHot> = Vec::new();
-    let mut ids: Vec<PlanId> = Vec::new();
-    chunk
-        .into_iter()
-        .map(|(s, mut cands)| {
-            cands.sort_by_key(|&(u, _)| u);
-            ids.clear();
-            ids.extend(cands.iter().map(|&(_, id)| id));
-            let mut class = Vec::new();
-            let mut tally = ClassTally::default();
-            policy.fold_class(ctx, memo, &mut class, &mut rows, &ids, &mut tally);
-            (s, class, tally)
-        })
-        .collect()
+/// Interleave the workers' recorded streams back into the sequential
+/// work-unit order, yielding `(worker, item)`. Each stream is ascending
+/// in unit and every unit belongs to exactly one worker, so repeatedly
+/// taking the stream with the smallest next unit reproduces the streaming
+/// driver's order exactly — without materializing or sorting the union.
+fn unit_order<T>(streams: &[Vec<T>], unit: fn(&T) -> u64) -> impl Iterator<Item = (usize, &T)> {
+    let mut pos = vec![0usize; streams.len()];
+    std::iter::from_fn(move || {
+        let w = (0..streams.len())
+            .filter(|&w| pos[w] < streams[w].len())
+            .min_by_key(|&w| unit(&streams[w][pos[w]]))?;
+        pos[w] += 1;
+        Some((w, &streams[w][pos[w] - 1]))
+    })
 }
 
 /// The streaming driver: seed scan classes, then walk every csg-cmp-pair
@@ -1045,17 +816,14 @@ fn run_engine<P: ClassPolicy>(
         let id = make_scan(ctx, memo, i);
         memo.class_push(NodeSet::single(i), id);
     }
-    // Policies whose complete() keeps a non-trivial subset of complete
-    // plans cannot use the layered driver (see ClassPolicy::parallel_safe).
-    let threads = if policy.parallel_safe() { threads } else { 1 };
     if n > 1 {
         if threads <= 1 {
-            memo.record_layering(0, 0, 1);
+            memo.record_layering(0, 0, 1, 0);
             let t0 = Instant::now();
             enumerate_streaming(ctx, memo, &mut scratch, policy);
             // Streaming is all build work: the phase split degenerates to
             // a zero replay share.
-            memo.record_phases(t0.elapsed().as_nanos() as u64, 0, 0);
+            memo.record_phases(t0.elapsed().as_nanos() as u64, 0);
         } else {
             enumerate_layered(ctx, memo, &mut scratch, policy, threads);
         }
@@ -1107,29 +875,6 @@ impl ClassPolicy for SingleBest {
     fn complete(&mut self, ctx: &OptContext, memo: &mut Memo, id: PlanId) -> bool {
         keep_best(&mut self.best, ctx, memo, id)
     }
-
-    fn fold_insert(
-        &self,
-        _ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    ) {
-        match class.first().copied() {
-            None => class.push(id),
-            Some(cur) => {
-                if compare_adjusted(memo, id, cur, self.factor) {
-                    class[0] = id;
-                }
-            }
-        }
-        tally.peak_class_width = tally.peak_class_width.max(1);
-    }
-
-    fn fold_complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
-        keep_best(&mut self.best, ctx, memo, id)
-    }
 }
 
 /// Multi-plan policy: EA-All (`prune = None`, Fig. 9) and EA-Prune
@@ -1157,63 +902,6 @@ impl ClassPolicy for MultiBest {
     fn complete(&mut self, ctx: &OptContext, memo: &mut Memo, id: PlanId) -> bool {
         keep_best(&mut self.best, ctx, memo, id)
     }
-
-    fn fold_insert(
-        &self,
-        _ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    ) {
-        match self.prune {
-            Some(kind) => prune_insert_ids(
-                memo.hot_plans(),
-                memo.cold_plans(),
-                class,
-                id,
-                kind,
-                self.guard_groupjoin,
-                tally,
-            ),
-            None => {
-                class.push(id);
-                tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-            }
-        }
-    }
-
-    fn fold_class(
-        &self,
-        _ctx: &OptContext,
-        memo: &Memo,
-        class: &mut Vec<PlanId>,
-        rows: &mut Vec<PlanHot>,
-        candidates: &[PlanId],
-        tally: &mut ClassTally,
-    ) {
-        match self.prune {
-            Some(kind) => prune_fold_slice(
-                memo.hot_plans(),
-                memo.cold_plans(),
-                class,
-                rows,
-                candidates,
-                kind,
-                self.guard_groupjoin,
-                tally,
-            ),
-            // EA-All keeps everything: one bulk append, width tallied once.
-            None => {
-                class.extend_from_slice(candidates);
-                tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-            }
-        }
-    }
-
-    fn fold_complete(&mut self, ctx: &OptContext, memo: &Memo, id: PlanId) -> bool {
-        keep_best(&mut self.best, ctx, memo, id)
-    }
 }
 
 /// Collect-everything policy for [`all_subplans`]: every class keeps every
@@ -1232,23 +920,6 @@ impl ClassPolicy for CollectAll {
     }
 
     fn complete(&mut self, _ctx: &OptContext, _memo: &mut Memo, id: PlanId) -> bool {
-        self.complete.push(id);
-        true
-    }
-
-    fn fold_insert(
-        &self,
-        _ctx: &OptContext,
-        _memo: &Memo,
-        class: &mut Vec<PlanId>,
-        id: PlanId,
-        tally: &mut ClassTally,
-    ) {
-        class.push(id);
-        tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-    }
-
-    fn fold_complete(&mut self, _ctx: &OptContext, _memo: &Memo, id: PlanId) -> bool {
         self.complete.push(id);
         true
     }

@@ -45,9 +45,8 @@ pub use finalize::{compile, finalize, FinalPlan};
 pub use fusion::fuse_groupjoins;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memo::{
-    AdaptiveMode, ClassBuckets, ClassTally, Degradation, DominanceKind, Memo, MemoPlan, MemoShard,
-    MemoStats, PlanCold, PlanHot, PlanId, PlanNode, PlanRef, PlanStore, ShardRemap,
-    ARENA_ROW_BYTES,
+    AdaptiveMode, Degradation, DominanceKind, Memo, MemoPlan, MemoShard, MemoStats, PlanCold,
+    PlanHot, PlanId, PlanNode, PlanRef, PlanStore, ShardRemap, ARENA_ROW_BYTES,
 };
 pub use plan::{apply_staged, make_apply, make_group, make_scan, stage_apply, StagedApply};
 pub use recost::{recost_plan, Recosted};

@@ -409,23 +409,13 @@ pub struct MemoStats {
     /// the layered engine plus its inline strata, or the whole
     /// enumeration on the streaming (threads = 1) path.
     pub worker_nanos: u64,
-    /// Nanoseconds spent in the merge + replay phase of the layered
-    /// engine (shard append, class bucketing, per-class folds). With the
-    /// class-partitioned replay only the shard append remains serial;
-    /// the bucketing and the folds fan out. 0 on the streaming path.
+    /// Nanoseconds spent in the serial merge + replay phase of the
+    /// layered engine (shard append, candidate remap and unit sort, the
+    /// policy's `insert`/`complete` calls). 0 on the streaming path.
     pub replay_nanos: u64,
-    /// Most plan classes replayed concurrently in one stratum by the
-    /// class-partitioned replay (0 = every replay ran serially).
-    pub peak_replay_classes: u64,
-    /// Worst LPT load imbalance observed across parallel replays, as
-    /// `max_worker_load · fanout · 100 / total_candidates`: 100 means the
-    /// most loaded replay worker carried exactly its fair share, `k·100`
-    /// that it carried `k×` its share (skewed strata). 0 when no replay
-    /// ever fanned out.
-    pub lpt_imbalance_x100: u64,
-    /// Strata whose merge-candidate *bucketing* (grouping the shard
-    /// streams by target class) itself fanned out over the worker pool
-    /// instead of running on the merge thread.
+    /// Strata of the layered engine whose plan building fanned out over
+    /// worker threads (the rest ran inline below the fan-out threshold);
+    /// 0 on the streaming path.
     pub par_bucket_strata: u64,
     /// Effective plan budget enforced by a budgeted search (the requested
     /// budget clamped up to the greedy floor); 0 when the run was not
@@ -459,17 +449,8 @@ impl MemoStats {
         (self.prune_rejected + self.prune_evicted) as f64 / self.prune_attempts as f64
     }
 
-    /// Reduce one per-class fold tally into the shared statistics.
-    fn merge_tally(&mut self, tally: &ClassTally) {
-        self.prune_attempts += tally.prune_attempts;
-        self.prune_rejected += tally.prune_rejected;
-        self.prune_evicted += tally.prune_evicted;
-        self.peak_class_width = self.peak_class_width.max(tally.peak_class_width);
-    }
-
-    /// Share of the instrumented engine time spent in the merge + replay
-    /// phase — the Amdahl serial fraction the class-partitioned replay
-    /// attacks. 0 when nothing was instrumented (streaming path).
+    /// Share of the instrumented engine time spent in the serial merge +
+    /// replay phase. 0 on the streaming path, which has no replay.
     pub fn serial_fraction(&self) -> f64 {
         let total = self.worker_nanos + self.replay_nanos;
         if total == 0 {
@@ -477,22 +458,6 @@ impl MemoStats {
         }
         self.replay_nanos as f64 / total as f64
     }
-}
-
-/// Per-worker counters of the class-partitioned replay: one tally per
-/// fold, reduced into [`MemoStats`] when the class is installed — so
-/// concurrent per-class folds never contend on the shared statistics.
-/// All fields are sums or maxima, hence commutative across classes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClassTally {
-    /// Dominance tests performed.
-    pub prune_attempts: u64,
-    /// Candidate plans rejected on arrival.
-    pub prune_rejected: u64,
-    /// Resident plans evicted by a dominating arrival.
-    pub prune_evicted: u64,
-    /// Widest plan class observed.
-    pub peak_class_width: u64,
 }
 
 /// The hot half of the dominance test: everything decidable from two
@@ -552,13 +517,11 @@ pub fn dominates(
         && (kind != DominanceKind::Full || a.cold.keyinfo.keys.implies(&b.cold.keyinfo.keys))
 }
 
-/// `PruneDominatedPlans` (Fig. 13) against a detached class vector:
-/// drop `id` if an incumbent dominates it, otherwise evict every
-/// incumbent it dominates and append it. Plan data is read from the
-/// split `hot`/`cold` arenas; counters go to `tally`. This is the
-/// one-candidate form — [`Memo::class_prune_insert`] (streaming) calls
-/// it; the per-class replay folds use the batched
-/// [`prune_fold_slice`].
+/// `PruneDominatedPlans` (Fig. 13) against one class's id list: drop
+/// `id` if an incumbent dominates it, otherwise evict every incumbent it
+/// dominates and append it. Plan data is read from the split `hot`/`cold`
+/// arenas; the prune counters and peak class width go to `stats`.
+/// [`Memo::class_prune_insert`] is this over the memo's own class map.
 pub fn prune_insert_ids(
     hot: &[PlanHot],
     cold: &[PlanCold],
@@ -566,9 +529,9 @@ pub fn prune_insert_ids(
     id: PlanId,
     kind: DominanceKind,
     guard_groupjoin: bool,
-    tally: &mut ClassTally,
+    stats: &mut MemoStats,
 ) {
-    tally.prune_attempts += 1;
+    stats.prune_attempts += 1;
     let new = hot[id.index()];
     for &old in class.iter() {
         if dominates_split(
@@ -580,7 +543,7 @@ pub fn prune_insert_ids(
             kind,
             guard_groupjoin,
         ) {
-            tally.prune_rejected += 1;
+            stats.prune_rejected += 1;
             return;
         }
     }
@@ -596,61 +559,9 @@ pub fn prune_insert_ids(
             guard_groupjoin,
         )
     });
-    tally.prune_evicted += (before - class.len()) as u64;
+    stats.prune_evicted += (before - class.len()) as u64;
     class.push(id);
-    tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-}
-
-/// Fold a whole slice of unit-sorted candidates into one class — the
-/// batched form of [`prune_insert_ids`] the class-partitioned replay
-/// runs. Semantically identical to folding the candidates one by one
-/// (same retain order, same tally), but the resident plans' hot rows are
-/// mirrored into the caller-owned `rows` scratch so every dominance scan
-/// walks one contiguous 40-byte-stride array instead of chasing arena
-/// indices; evictions compact `class` and `rows` in lockstep.
-#[allow(clippy::too_many_arguments)]
-pub fn prune_fold_slice(
-    hot: &[PlanHot],
-    cold: &[PlanCold],
-    class: &mut Vec<PlanId>,
-    rows: &mut Vec<PlanHot>,
-    candidates: &[PlanId],
-    kind: DominanceKind,
-    guard_groupjoin: bool,
-    tally: &mut ClassTally,
-) {
-    rows.clear();
-    rows.extend(class.iter().map(|&id| hot[id.index()]));
-    'next: for &id in candidates {
-        tally.prune_attempts += 1;
-        let new = hot[id.index()];
-        for (old, &old_id) in rows.iter().zip(class.iter()) {
-            if dominates_split(old, &new, cold, old_id, id, kind, guard_groupjoin) {
-                tally.prune_rejected += 1;
-                continue 'next;
-            }
-        }
-        // Order-preserving lockstep compaction of (class, rows). Copies
-        // start only after the first eviction (like `Vec::retain`) — the
-        // common no-eviction pass writes nothing.
-        let before = class.len();
-        let mut w = 0;
-        for i in 0..before {
-            if !dominates_split(&new, &rows[i], cold, id, class[i], kind, guard_groupjoin) {
-                if w != i {
-                    class[w] = class[i];
-                    rows[w] = rows[i];
-                }
-                w += 1;
-            }
-        }
-        class.truncate(w);
-        rows.truncate(w);
-        tally.prune_evicted += (before - w) as u64;
-        class.push(id);
-        rows.push(new);
-        tally.peak_class_width = tally.peak_class_width.max(class.len() as u64);
-    }
+    stats.peak_class_width = stats.peak_class_width.max(class.len() as u64);
 }
 
 /// Append-and-read access to a plan arena — the interface the plan
@@ -907,69 +818,28 @@ impl Memo {
         remap
     }
 
-    /// [`Memo::append_shard`] plus candidate bucketing: append the
-    /// shard's plans, then translate its recorded candidate streams to
-    /// merged ids and group the class candidates by target `NodeSet` in
-    /// `buckets`. Plan classes are independent per `NodeSet` (the Fig. 13
-    /// dominance test only ever compares plans within one class), so the
-    /// buckets can later fold concurrently — this grouping is what the
-    /// class-partitioned parallel replay fans out over. On wide strata
-    /// the engine skips this serial form and fans the bucketing itself
-    /// over the workers (see `enumerate_layered`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn append_shard_bucketed(
+    /// Record layering statistics of the layered engine: strata, widest
+    /// stratum, widest fan-out and fanned-out strata (the streaming path
+    /// reports `layers = 0`, `threads_used = 1`, no fanned-out strata).
+    pub fn record_layering(
         &mut self,
-        hot: Vec<PlanHot>,
-        cold: Vec<PlanCold>,
-        base: usize,
-        inserts: &[(u64, NodeSet, PlanId)],
-        completes: &[(u64, PlanId)],
-        buckets: &mut ClassBuckets,
+        layers: u64,
+        peak_layer_pairs: u64,
+        threads: u64,
+        fanned_strata: u64,
     ) {
-        let remap = self.append_shard(hot, cold, base);
-        for &(unit, s, id) in inserts {
-            buckets
-                .classes
-                .entry(s)
-                .or_default()
-                .push((unit, remap.apply(id)));
-        }
-        for &(unit, id) in completes {
-            buckets.completes.push((unit, remap.apply(id)));
-        }
-    }
-
-    /// Record layering statistics of the layered engine (a no-op for the
-    /// streaming path, which reports `layers = 0`, `threads_used = 1`).
-    pub fn record_layering(&mut self, layers: u64, peak_layer_pairs: u64, threads: u64) {
         self.stats.layers = layers;
         self.stats.peak_layer_pairs = peak_layer_pairs;
         self.stats.threads_used = threads;
+        self.stats.par_bucket_strata = fanned_strata;
     }
 
     /// Record the phase split of one enumeration: time spent building
-    /// plans (`worker_nanos`), time spent merging and replaying
-    /// (`replay_nanos`), and the widest per-class replay fan-out.
-    pub fn record_phases(
-        &mut self,
-        worker_nanos: u64,
-        replay_nanos: u64,
-        peak_replay_classes: u64,
-    ) {
+    /// plans (`worker_nanos`) and time spent merging and replaying
+    /// (`replay_nanos`).
+    pub fn record_phases(&mut self, worker_nanos: u64, replay_nanos: u64) {
         self.stats.worker_nanos = worker_nanos;
         self.stats.replay_nanos = replay_nanos;
-        self.stats.peak_replay_classes = peak_replay_classes;
-    }
-
-    /// Fold one parallel replay's LPT assignment skew into the stats
-    /// (keeps the worst stratum; see [`MemoStats::lpt_imbalance_x100`]).
-    pub fn record_replay_imbalance(&mut self, imbalance_x100: u64) {
-        self.stats.lpt_imbalance_x100 = self.stats.lpt_imbalance_x100.max(imbalance_x100);
-    }
-
-    /// Count one stratum whose merge-candidate bucketing fanned out.
-    pub fn record_par_bucket_stratum(&mut self) {
-        self.stats.par_bucket_strata += 1;
     }
 
     /// Record the outcome of a budgeted search: the effective plan and
@@ -1063,7 +933,6 @@ impl Memo {
         kind: DominanceKind,
         guard_groupjoin: bool,
     ) {
-        let mut tally = ClassTally::default();
         let class = self.classes.entry(s).or_default();
         prune_insert_ids(
             &self.hot,
@@ -1072,9 +941,8 @@ impl Memo {
             id,
             kind,
             guard_groupjoin,
-            &mut tally,
+            &mut self.stats,
         );
-        self.stats.merge_tally(&tally);
     }
 
     /// Shrink the class of `s` to its representative member(s): the
@@ -1114,24 +982,8 @@ impl Memo {
         }
     }
 
-    /// Install a class produced by a detached (per-class replay) fold and
-    /// fold its counter tally into the shared statistics. The class must
-    /// not exist yet — every union size is produced by exactly one
-    /// stratum, so a stratum's target classes always start empty.
-    pub fn install_class(&mut self, s: NodeSet, ids: Vec<PlanId>, tally: &ClassTally) {
-        self.stats.merge_tally(tally);
-        if ids.is_empty() {
-            return;
-        }
-        let prev = self.classes.insert(s, ids);
-        debug_assert!(
-            prev.is_none_or(|p| p.is_empty()),
-            "install_class would clobber a non-empty class for {s}"
-        );
-    }
-
-    /// Every hot row in arena order — read access for the detached
-    /// per-class folds, which run against a frozen (fully merged) arena.
+    /// Every hot row in arena order (the `hot` argument of
+    /// [`prune_insert_ids`]).
     #[inline]
     pub fn hot_plans(&self) -> &[PlanHot] {
         &self.hot
@@ -1183,30 +1035,6 @@ impl Memo {
             live_bytes_peak: self.stats.live_bytes_peak.max(self.live_bytes()),
             ..self.stats
         }
-    }
-}
-
-/// One stratum's merged candidate streams, grouped for the
-/// class-partitioned replay ([`Memo::append_shard_bucketed`]).
-///
-/// Candidates arrive shard-major (worker 0's stream, then worker 1's, …),
-/// each shard stream in ascending work-unit order; a stable per-class
-/// sort by unit therefore restores the exact sequential fold order —
-/// all candidates of one unit come from the single worker that owned it
-/// and stay contiguous.
-#[derive(Debug, Default)]
-pub struct ClassBuckets {
-    /// Target class → unit-tagged candidate ids (merged, shard-major).
-    pub classes: FxHashMap<NodeSet, Vec<(u64, PlanId)>>,
-    /// Complete (full-set) plans surviving the worker filters,
-    /// unit-tagged and shard-major like the class streams.
-    pub completes: Vec<(u64, PlanId)>,
-}
-
-impl ClassBuckets {
-    /// Total class candidates across all buckets.
-    pub fn candidate_count(&self) -> usize {
-        self.classes.values().map(Vec::len).sum()
     }
 }
 

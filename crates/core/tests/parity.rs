@@ -314,59 +314,21 @@ fn collect_all_signature(
     (classes, completes)
 }
 
-/// Golden for the class-partitioned replay: a paper-workload query whose
-/// widest stratum buckets enough candidates that dozens of plan classes
-/// fold concurrently — and the outcome still matches the streaming driver
-/// bit for bit.
+/// Golden for the layered engine on a wide stratum: a paper-workload
+/// query whose plan building fans out over the workers, with the
+/// recorded candidates replayed serially in unit order — and the outcome
+/// still matches the streaming driver bit for bit.
 #[test]
-fn wide_stratum_replays_many_classes_concurrently() {
+fn wide_stratum_fans_out_and_replays_bit_identically() {
     let query = generate_query(&GenConfig::paper(11), 1000);
     let seq = optimize_with(&query, A::EaPrune, &with_threads(1));
     let par = optimize_with(&query, A::EaPrune, &with_threads(8));
     assert!(
-        par.memo.peak_replay_classes >= 8,
-        "expected a wide parallel replay, got {} classes",
-        par.memo.peak_replay_classes
-    );
-    assert_eq!(seq.plan.cost.to_bits(), par.plan.cost.to_bits());
-    assert_eq!(seq.plans_built, par.plans_built);
-    assert_eq!(seq.retained_plans, par.retained_plans);
-    assert_eq!(
-        seq.memo.prune_attempts, par.memo.prune_attempts,
-        "per-worker prune tallies must reduce to the streaming totals"
-    );
-    assert_eq!(seq.memo.prune_rejected, par.memo.prune_rejected);
-    assert_eq!(seq.memo.prune_evicted, par.memo.prune_evicted);
-    assert_eq!(seq.memo.peak_class_width, par.memo.peak_class_width);
-    // The phase split is instrumented on both drivers; the streaming
-    // driver reports a zero replay share.
-    assert!(par.memo.worker_nanos > 0 && par.memo.replay_nanos > 0);
-    assert!(seq.memo.worker_nanos > 0 && seq.memo.replay_nanos == 0);
-}
-
-/// Golden for the fanned-out merge bucketing: a stratum wide enough that
-/// grouping the shards' candidate streams by target class itself runs on
-/// the worker pool (hash-partitioned by class). The engine must record
-/// that it did — and the result must still match streaming bit for bit,
-/// with the LPT imbalance counter showing a sane (>= fair-share) reading.
-#[test]
-fn wide_stratum_buckets_candidates_in_parallel() {
-    let query = generate_query(&GenConfig::paper(11), 1000);
-    let seq = optimize_with(&query, A::EaPrune, &with_threads(1));
-    let par = optimize_with(&query, A::EaPrune, &with_threads(8));
-    assert!(
-        par.memo.par_bucket_strata >= 1,
-        "expected at least one stratum to fan its bucketing out, got {}",
+        par.memo.threads_used >= 2 && par.memo.par_bucket_strata >= 1,
+        "expected a fanned-out stratum, got threads_used {} and {} fanned-out strata",
+        par.memo.threads_used,
         par.memo.par_bucket_strata
     );
-    // The LPT skew statistic is recorded whenever a replay fanned out;
-    // the most loaded worker carries at least its fair share (100).
-    assert!(
-        par.memo.lpt_imbalance_x100 >= 100,
-        "LPT imbalance below fair share: {}",
-        par.memo.lpt_imbalance_x100
-    );
-    assert!(seq.memo.par_bucket_strata == 0 && seq.memo.lpt_imbalance_x100 == 0);
     assert_eq!(seq.plan.cost.to_bits(), par.plan.cost.to_bits());
     assert_eq!(seq.plans_built, par.plans_built);
     assert_eq!(seq.retained_plans, par.retained_plans);
@@ -374,6 +336,10 @@ fn wide_stratum_buckets_candidates_in_parallel() {
     assert_eq!(seq.memo.prune_rejected, par.memo.prune_rejected);
     assert_eq!(seq.memo.prune_evicted, par.memo.prune_evicted);
     assert_eq!(seq.memo.peak_class_width, par.memo.peak_class_width);
+    // The phase split is instrumented on both drivers; the streaming
+    // driver reports a zero replay share.
+    assert!(par.memo.worker_nanos > 0 && par.memo.replay_nanos > 0);
+    assert!(seq.memo.worker_nanos > 0 && seq.memo.replay_nanos == 0);
 }
 
 /// The collect-all policy is layered-capable too (workers record every
@@ -431,7 +397,7 @@ proptest! {
     /// costs, plans built, retained DP state and the reduced prune
     /// counters are bit-identical across `threads ∈ {1, 2, 8}` for all
     /// five algorithms — which exercise both keep-best policies — under
-    /// the class-partitioned replay.
+    /// the layered engine's serial unit-order replay.
     #[test]
     fn thread_count_never_changes_results(n in 2usize..=7, seed in 0u64..1_000_000) {
         let query = generate_query(&GenConfig::oracle(n), seed);

@@ -5,7 +5,8 @@
 //!
 //! This is an independent implementation (adjacency sets instead of
 //! hyperedges) used to cross-validate the DPhyp enumerator: on a simple
-//! graph both must emit exactly the same pairs.
+//! graph both must emit exactly the same pairs. It is compiled for tests
+//! only and is not part of the crate's public API.
 
 use crate::bitset::NodeSet;
 

@@ -15,9 +15,7 @@
 //! ```
 
 use dpnext_catalog::{tpch_catalog, Catalog};
-use dpnext_core::{
-    optimize_into, optimize_with, Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized,
-};
+use dpnext_core::{optimize_into, Algorithm, DominanceKind, Memo, OptimizeOptions, Optimized};
 use dpnext_query::Query;
 use dpnext_sql::{plan as bind_sql, BoundQuery, SqlError};
 use std::sync::{Arc, OnceLock};
@@ -39,13 +37,8 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     algorithm: Algorithm,
-    dominance: DominanceKind,
-    explain: bool,
-    threads: usize,
-    plan_budget: u64,
-    deadline: Option<Duration>,
-    memory_budget: u64,
-    fault_unit_delay: Option<Duration>,
+    /// Every knob besides the algorithm, handed to the engine as is.
+    opts: OptimizeOptions,
     catalog: OnceLock<Arc<Catalog>>,
 }
 
@@ -57,13 +50,7 @@ impl Optimizer {
     pub fn new(algorithm: Algorithm) -> Optimizer {
         Optimizer {
             algorithm,
-            dominance: DominanceKind::Full,
-            explain: true,
-            threads: 0,
-            plan_budget: 0,
-            deadline: None,
-            memory_budget: 0,
-            fault_unit_delay: None,
+            opts: OptimizeOptions::default(),
             catalog: OnceLock::new(),
         }
     }
@@ -71,7 +58,7 @@ impl Optimizer {
     /// Override the dominance criterion used by [`Algorithm::EaPrune`]
     /// (the weaker kinds prune harder but can lose the optimal plan).
     pub fn dominance(mut self, kind: DominanceKind) -> Optimizer {
-        self.dominance = kind;
+        self.opts.dominance = kind;
         self
     }
 
@@ -90,7 +77,7 @@ impl Optimizer {
     /// outcomes and `plans_built` are bit-identical for every setting —
     /// only wall-clock time changes.
     pub fn threads(mut self, threads: usize) -> Optimizer {
-        self.threads = threads;
+        self.opts.threads = threads;
         self
     }
 
@@ -103,7 +90,7 @@ impl Optimizer {
     /// and `plans_built` never exceeds it. Ignored by the exact
     /// algorithms.
     pub fn plan_budget(mut self, budget: u64) -> Optimizer {
-        self.plan_budget = budget;
+        self.opts.plan_budget = budget;
         self
     }
 
@@ -118,7 +105,7 @@ impl Optimizer {
     /// unit. `None` (the default) changes nothing: unconstrained runs are
     /// bit-identical to an optimizer without the knob.
     pub fn deadline(mut self, deadline: Option<Duration>) -> Optimizer {
-        self.deadline = deadline;
+        self.opts.deadline = deadline;
         self
     }
 
@@ -133,7 +120,7 @@ impl Optimizer {
     /// (the default) changes nothing: unconstrained runs stay
     /// bit-identical.
     pub fn memory_budget(mut self, bytes: u64) -> Optimizer {
-        self.memory_budget = bytes;
+        self.opts.memory_budget = bytes;
         self
     }
 
@@ -142,14 +129,14 @@ impl Optimizer {
     /// slow enumeration. Exists so deadline/degradation paths are testable
     /// deterministically (see `robustness_smoke`); never set in production.
     pub fn fault_unit_delay(mut self, delay: Option<Duration>) -> Optimizer {
-        self.fault_unit_delay = delay;
+        self.opts.fault_unit_delay = delay;
         self
     }
 
     /// Toggle EXPLAIN rendering on the result (disable for benchmarking
     /// loops; the memo statistics are always collected).
     pub fn explain(mut self, on: bool) -> Optimizer {
-        self.explain = on;
+        self.opts.explain = on;
         self
     }
 
@@ -174,19 +161,7 @@ impl Optimizer {
 
     /// Optimize an already-constructed [`Query`].
     pub fn optimize(&self, query: &Query) -> Optimized {
-        let opts = self.options();
-        match self.algorithm {
-            // The budgeted ladder lives above dpnext-core (see the crate
-            // layering note on `Algorithm::Adaptive`), so the facade is
-            // the dispatch point. Deadline- and memory-budget-bearing
-            // requests also route here: only the ladder can abort
-            // mid-enumeration.
-            Algorithm::Adaptive => dpnext_adaptive::optimize_adaptive(query, &opts),
-            _ if self.deadline.is_some() || self.memory_budget != 0 => {
-                dpnext_adaptive::optimize_adaptive(query, &opts)
-            }
-            algo => optimize_with(query, algo, &opts),
-        }
+        self.optimize_pooled(query, &mut Memo::new())
     }
 
     /// Full pipeline from SQL text: parse, bind, optimize.
@@ -211,29 +186,19 @@ impl Optimizer {
     /// ladder, so for that variant the supplied memo is reset but left
     /// empty and the call behaves exactly like [`Optimizer::optimize`].
     pub fn optimize_pooled(&self, query: &Query, memo: &mut Memo) -> Optimized {
-        let opts = self.options();
-        match self.algorithm {
-            Algorithm::Adaptive => {
-                memo.reset();
-                dpnext_adaptive::optimize_adaptive(query, &opts)
-            }
-            _ if self.deadline.is_some() || self.memory_budget != 0 => {
-                memo.reset();
-                dpnext_adaptive::optimize_adaptive(query, &opts)
-            }
-            algo => optimize_into(query, algo, &opts, memo),
-        }
-    }
-
-    fn options(&self) -> OptimizeOptions {
-        OptimizeOptions {
-            dominance: self.dominance,
-            explain: self.explain,
-            threads: self.threads,
-            plan_budget: self.plan_budget,
-            deadline: self.deadline,
-            memory_budget: self.memory_budget,
-            fault_unit_delay: self.fault_unit_delay,
+        let opts = &self.opts;
+        // The budgeted ladder lives above dpnext-core (see the crate
+        // layering note on `Algorithm::Adaptive`), so the facade is the
+        // dispatch point. Deadline- and memory-budget-bearing requests
+        // also route here: only the ladder can abort mid-enumeration.
+        if self.algorithm == Algorithm::Adaptive
+            || opts.deadline.is_some()
+            || opts.memory_budget != 0
+        {
+            memo.reset();
+            dpnext_adaptive::optimize_adaptive(query, opts)
+        } else {
+            optimize_into(query, self.algorithm, opts, memo)
         }
     }
 }
