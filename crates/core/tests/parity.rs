@@ -316,23 +316,25 @@ fn collect_all_signature(
 
 /// Golden for the layered engine on a wide stratum: a paper-workload
 /// query whose plan building fans out over the workers, with the
-/// recorded candidates replayed serially in unit order — and the outcome
-/// still matches the streaming driver bit for bit.
+/// recorded candidates of many plan classes replayed in unit order — and
+/// the outcome still matches the streaming driver bit for bit.
 #[test]
-fn wide_stratum_fans_out_and_replays_bit_identically() {
+fn wide_stratum_replays_many_classes_concurrently() {
     let query = generate_query(&GenConfig::paper(11), 1000);
     let seq = optimize_with(&query, A::EaPrune, &with_threads(1));
     let par = optimize_with(&query, A::EaPrune, &with_threads(8));
     assert!(
-        par.memo.threads_used >= 2 && par.memo.par_bucket_strata >= 1,
-        "expected a fanned-out stratum, got threads_used {} and {} fanned-out strata",
-        par.memo.threads_used,
-        par.memo.par_bucket_strata
+        par.memo.threads_used >= 2,
+        "expected the workers to build concurrently, got threads_used {}",
+        par.memo.threads_used
     );
     assert_eq!(seq.plan.cost.to_bits(), par.plan.cost.to_bits());
     assert_eq!(seq.plans_built, par.plans_built);
     assert_eq!(seq.retained_plans, par.retained_plans);
-    assert_eq!(seq.memo.prune_attempts, par.memo.prune_attempts);
+    assert_eq!(
+        seq.memo.prune_attempts, par.memo.prune_attempts,
+        "the unit-order replay must reproduce the streaming prune totals"
+    );
     assert_eq!(seq.memo.prune_rejected, par.memo.prune_rejected);
     assert_eq!(seq.memo.prune_evicted, par.memo.prune_evicted);
     assert_eq!(seq.memo.peak_class_width, par.memo.peak_class_width);
@@ -340,6 +342,30 @@ fn wide_stratum_fans_out_and_replays_bit_identically() {
     // driver reports a zero replay share.
     assert!(par.memo.worker_nanos > 0 && par.memo.replay_nanos > 0);
     assert!(seq.memo.worker_nanos > 0 && seq.memo.replay_nanos == 0);
+}
+
+/// Golden for the fanned-out strata: a stratum wide enough that its
+/// plan building runs on the worker pool. The engine must record that it
+/// did (`par_bucket_strata`), the streaming driver must record none — and
+/// the result must still match streaming bit for bit.
+#[test]
+fn wide_stratum_buckets_candidates_in_parallel() {
+    let query = generate_query(&GenConfig::paper(11), 1000);
+    let seq = optimize_with(&query, A::EaPrune, &with_threads(1));
+    let par = optimize_with(&query, A::EaPrune, &with_threads(8));
+    assert!(
+        par.memo.par_bucket_strata >= 1,
+        "expected at least one stratum to fan out, got {}",
+        par.memo.par_bucket_strata
+    );
+    assert_eq!(0, seq.memo.par_bucket_strata);
+    assert_eq!(seq.plan.cost.to_bits(), par.plan.cost.to_bits());
+    assert_eq!(seq.plans_built, par.plans_built);
+    assert_eq!(seq.retained_plans, par.retained_plans);
+    assert_eq!(seq.memo.prune_attempts, par.memo.prune_attempts);
+    assert_eq!(seq.memo.prune_rejected, par.memo.prune_rejected);
+    assert_eq!(seq.memo.prune_evicted, par.memo.prune_evicted);
+    assert_eq!(seq.memo.peak_class_width, par.memo.peak_class_width);
 }
 
 /// The collect-all policy is layered-capable too (workers record every

@@ -21,24 +21,34 @@ fn quiet_optimizer(algo: A) -> Optimizer {
 #[test]
 fn burst_over_admission_cap_rejects_fast_and_serves_the_rest() {
     const N: usize = 16;
-    let service = Arc::new(OptimizerService::with_config(
-        quiet_optimizer(A::EaPrune),
-        ServiceConfig {
-            cache_capacity: 0, // every request must reach the gate
-            pool_capacity: 4,
-            max_concurrent: 2,
-            max_queued: 2,
-            ..ServiceConfig::default()
-        },
-    ));
+    // Every admitted run is slowed (a busy-wait per enumeration work
+    // unit) so it holds its slot while the rest of the burst arrives; at
+    // full speed a 9-table clique optimizes so fast that the gate can
+    // drain before the next thread is scheduled. The injected delay only
+    // acts on the budgeted ladder, which a deadline selects; this one is
+    // far beyond the slowed run and never fires.
+    let inj = FaultInjector::new(0, 0, 1_000_000, Duration::from_micros(500));
+    let service = Arc::new(
+        OptimizerService::with_config(
+            quiet_optimizer(A::EaPrune),
+            ServiceConfig {
+                cache_capacity: 0, // every request must reach the gate
+                pool_capacity: 4,
+                max_concurrent: 2,
+                max_queued: 2,
+                deadline: Some(Duration::from_secs(60)),
+                ..ServiceConfig::default()
+            },
+        )
+        .with_fault_injection(inj),
+    );
     let barrier = Arc::new(Barrier::new(N));
     let handles: Vec<_> = (0..N)
         .map(|i| {
             let service = service.clone();
             let barrier = barrier.clone();
             std::thread::spawn(move || {
-                // Distinct shapes (cache off anyway) big enough that the
-                // admitted runs overlap the rejected arrivals.
+                // Distinct shapes (cache off anyway).
                 let q = generate_query(&GenConfig::topology(9, Topology::Clique), i as u64);
                 barrier.wait();
                 match service.optimize(&q) {
@@ -94,7 +104,9 @@ fn breaker_trips_open_serves_and_recovers() {
             cache_capacity: 0, // every arrival must consult the breaker
             pool_capacity: 4,
             breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(10),
+            // Long enough that the open-serving arrival below still
+            // lands inside it when the host stalls the test thread.
+            breaker_cooldown: Duration::from_millis(250),
             ..ServiceConfig::default()
         },
     )
@@ -119,7 +131,7 @@ fn breaker_trips_open_serves_and_recovers() {
     // Cooldown passes, the fault window is over: the next arrival runs
     // as the half-open probe at full quality, succeeds, and closes the
     // breaker.
-    std::thread::sleep(Duration::from_millis(15));
+    std::thread::sleep(Duration::from_millis(300));
     let probe = service.optimize(&q).expect("probe runs clean");
     assert!(probe.result.plan.cost.is_finite());
     let stats = service.stats();
